@@ -16,11 +16,13 @@ import (
 	"wmcs/internal/instances"
 	"wmcs/internal/jv"
 	"wmcs/internal/mech"
+	"wmcs/internal/mechreg"
 	"wmcs/internal/memtred"
 	"wmcs/internal/mst"
 	"wmcs/internal/nwst"
 	"wmcs/internal/nwstmech"
 	"wmcs/internal/query"
+	"wmcs/internal/serve"
 	"wmcs/internal/sharing"
 	"wmcs/internal/steiner"
 	"wmcs/internal/universal"
@@ -119,6 +121,40 @@ func BenchmarkEvaluatorRepeatedQueries(b *testing.B) {
 			if _, err := ev.Evaluate("wireless-bb", nil, u); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkApproxDemo times the sampled tier on a serial evaluator:
+// every approx-capable mechanism on each demo network of wmcsd, 20
+// random profiles per op at 256 permutation samples.
+func BenchmarkApproxDemo(b *testing.B) {
+	for _, sp := range serve.DefaultSpecs() {
+		nw, err := sp.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ev := query.NewEvaluator(nw)
+		rng := rand.New(rand.NewSource(sp.Seed))
+		profiles := make([]mech.Profile, 20)
+		for i := range profiles {
+			profiles[i] = mech.RandomProfile(rng, nw.N(), 60)
+		}
+		spec := mech.ApproxSpec{Samples: 256, Delta: 0.05, Seed: 7}
+		for _, d := range mechreg.All() {
+			if !d.Approx || mechreg.Supports(d.Name, nw) != nil {
+				continue
+			}
+			b.Run(sp.Name+"/"+d.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, u := range profiles {
+						if _, _, err := ev.EvaluateApprox(d.Name, nil, u, spec); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Command benchtab regenerates every table of the simulated evaluation
-// (experiments E1–E14 and the ablations of DESIGN.md §4), the
+// (the experiments and ablations of DESIGN.md §4), the
 // reproduction's stand-in for the paper's figures.
 //
 // Usage:
@@ -20,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"wmcs/internal/cliutil"
@@ -27,9 +28,13 @@ import (
 )
 
 func main() {
+	ids := make([]string, len(experiments.All))
+	for i, e := range experiments.All {
+		ids[i] = e.ID
+	}
 	var (
 		quick      = flag.Bool("quick", false, "reduced trial counts")
-		only       = flag.String("only", "", "run a single experiment by id (E1..E14, A1, A4)")
+		only       = flag.String("only", "", "run a single experiment by id ("+strings.Join(ids, ", ")+")")
 		parallel   = flag.Int("parallel", 0, "evaluation-engine workers: 1 = serial, 0 = GOMAXPROCS")
 		jsonOut    = flag.Bool("json", false, "emit tables as JSON (one object per line)")
 		timings    = flag.String("timings", "", "also write per-experiment wall-clock timings (JSON) to this file")
@@ -40,10 +45,6 @@ func main() {
 	var onlyExp *experiments.Experiment
 	if *only != "" {
 		if onlyExp = experiments.Lookup(*only); onlyExp == nil {
-			ids := make([]string, len(experiments.All))
-			for i, e := range experiments.All {
-				ids[i] = e.ID
-			}
 			cliutil.OneOf("-only", *only, ids)
 		}
 	}

@@ -44,7 +44,7 @@ func main() {
 		cache      = flag.Int("cache", serve.DefaultCacheCapacity, "result-cache capacity in entries (0 disables)")
 		shards     = flag.Int("shards", 0, "result-cache shard count (0 = default 16)")
 		workers    = flag.Int("workers", 0, "engine-pool width per evaluation batch: 1 = serial, 0 = GOMAXPROCS")
-		parEval    = flag.Int("parallel-eval", -1, "deterministic intra-query parallel width: -1 disables (the historical serial tier), 0 = auto (GOMAXPROCS, logged at boot), N >= 1 explicit")
+		parEval    = flag.Int("parallel-eval", -1, "intra-query parallel width: -1 disables (serial), 0 = auto (GOMAXPROCS, logged at boot), N >= 1 explicit; response bytes are the same at every setting")
 		maxbatch   = flag.Int("maxbatch", 0, "max queries per admission batch (0 = default 64)")
 		pprof      = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
 		logFormat  = flag.String("log", "text", "log format: text or json")
@@ -82,11 +82,10 @@ func main() {
 	}
 
 	// Resolve the parallel-eval width before any network is registered:
-	// the registry builds each network's evaluators with the tier chosen
-	// here, and the resolved value is what every byte served depends on —
-	// log it so a deployment's tier is always reconstructible from boot
-	// logs (the parallel tier is width-invariant, so the exact width
-	// never changes a byte, but serial vs parallel does).
+	// the registry builds each network's evaluators at the width chosen
+	// here. The width only schedules work — every reduction folds a
+	// fixed partition, so serial and any width serve the same bytes — but
+	// it shapes latency and CPU use, so log it at boot.
 	parallelEval := *parEval
 	switch {
 	case parallelEval == 0:
@@ -95,7 +94,7 @@ func main() {
 	case parallelEval > 0:
 		logger.Info("parallel evaluation enabled", "width", parallelEval, "resolved", "explicit")
 	default:
-		parallelEval = 0 // serial tier
+		parallelEval = 0 // serial
 	}
 
 	reg := serve.NewRegistry()

@@ -68,7 +68,7 @@ func main() {
 			"comma-separated mechanism names to spread queries over (default: every general-domain mechanism)")
 		queries  = flag.Int("queries", 4000, "total queries to issue")
 		parallel = flag.Int("parallel", 8, "concurrent client workers")
-		parEval  = flag.Int("parallel-eval", 0, "drive the daemon's deterministic parallel evaluation tier at this width (0 = serial tier): the in-process server boots with it, and -churn cold verifiers evaluate on the parallel tier at width 1 (bitwise identical to any width); against -addr it must match the daemon's -parallel-eval")
+		parEval  = flag.Int("parallel-eval", 0, "boot the in-process server with this intra-query parallel width (0 = serial); response bytes are the same at every width, so verification is unaffected")
 		hot      = flag.Int("hot", 32, "hot-set pool size per network (hotset/mixed workloads)")
 		zipfS    = flag.Float64("zipf", 1.2, "Zipf exponent over the hot pool (> 1)")
 		umax     = flag.Float64("umax", 50, "utilities drawn uniformly from [0, umax)")
@@ -207,17 +207,16 @@ func main() {
 	}
 
 	cfg := loadConfig{
-		baseURL:      baseURL,
-		specs:        specs,
-		nets:         nets,
-		workload:     wl,
-		mechs:        mechs,
-		mechsFor:     mechsFor,
-		queries:      *queries,
-		parallel:     *parallel,
-		parallelEval: *parEval,
-		seed:         *seed,
-		verify:       !*noVerify,
+		baseURL:  baseURL,
+		specs:    specs,
+		nets:     nets,
+		workload: wl,
+		mechs:    mechs,
+		mechsFor: mechsFor,
+		queries:  *queries,
+		parallel: *parallel,
+		seed:     *seed,
+		verify:   !*noVerify,
 		opts: instances.WorkloadOptions{
 			HotSets: *hot,
 			ZipfS:   *zipfS,
@@ -396,13 +395,9 @@ type loadConfig struct {
 	mechsFor [][]string
 	queries  int
 	parallel int
-	// parallelEval > 0 means the daemon serves the parallel evaluation
-	// tier; churn verifiers must then evaluate on the same tier (at
-	// width 1 — the tier is width-invariant, so 1 stands in for any N).
-	parallelEval int
-	seed         int64
-	verify       bool
-	opts         instances.WorkloadOptions
+	seed     int64
+	verify   bool
+	opts     instances.WorkloadOptions
 	// churn, when non-nil, switches verification to the churn driver's
 	// generation-pinned cold comparison and paces its updater.
 	churn *churnDriver

@@ -9,10 +9,11 @@ import (
 	"wmcs/internal/stats"
 )
 
-// E16 and E16b time the exact-Shapley tentpole (DESIGN.md §14): the
-// blocked flat-table enumeration of Shapley.SharesParallel against the
-// historical map-memoized Shapley.Shares on the identical instance. The
-// pair follows the E15/E15b convention — the measured signal is benchtab
+// E16 and E16b time the exact-Shapley enumeration (DESIGN.md §14): the
+// blocked flat-table fold of Shapley.SharesParallel against the
+// map-memoized enumeration it replaced (memoMapShapley, kept here only
+// as this control) on the identical instance. The pair follows the
+// E15/E15b convention — the measured signal is benchtab
 // -timings wall_ms, gated in CI as E16 <= 0.4 * E16b. On a single-core
 // runner the gap is the algorithmic one (a flat 2^k cost table and
 // per-block partial sums instead of ~2^k·k memo-map probes); on a
@@ -70,10 +71,8 @@ func E16ParallelShapley(cfg Config) *stats.Table {
 }
 
 // E16bSerialShapley is the control: the historical memo-map enumeration
-// on the identical instance. Its shares must agree with E16's to
-// float-sum reassociation tolerance (the tiers fold marginals in
-// different orders; exact equality is a per-tier property, pinned by the
-// width-invariance sweep, not a cross-tier one).
+// on the identical instance. Its shares agree with E16's to float-sum
+// reassociation tolerance (the two fold marginals in different orders).
 func E16bSerialShapley(cfg Config) *stats.Table {
 	return e16Run(cfg, false,
 		"E16b — exact Shapley, memo-map baseline (control for E16)")
@@ -94,11 +93,10 @@ func e16Run(cfg Config, parallel bool, title string) *stats.Table {
 		// A fresh method per trial: the memo cache must start cold each
 		// time or later trials would time map hits instead of the
 		// enumeration.
-		s := sharing.NewShapley(agents, cost)
 		if parallel {
-			shares = s.SharesParallel(agents, cfg.Pool())
+			shares = sharing.NewShapley(agents, cost).SharesParallel(agents, cfg.Pool())
 		} else {
-			shares = s.Shares(agents)
+			shares = memoMapShapley(agents, cost)
 		}
 	}
 	grand := cost(agents)
@@ -116,4 +114,53 @@ func e16Run(cfg Config, parallel bool, title string) *stats.Table {
 	t.Note("budget balance is the correctness check here; cross-tier byte identity is pinned in sharing's parallel tests")
 	t.Note("latency is the point: benchtab -timings wall_ms, gated in CI as E16 <= 0.4 * E16b")
 	return t
+}
+
+// memoMapShapley is the exact Shapley enumeration as the sharing package
+// computed it before the blocked fold: subsets walked in local-mask
+// order, each cost memoized in a map keyed by its universe mask, every
+// marginal looked up there. It evaluates R = agents over the universe
+// agents, which must be sorted.
+func memoMapShapley(agents []int, cost sharing.CostFunc) map[int]float64 {
+	k := len(agents)
+	fact := make([]float64, k+2)
+	fact[0] = 1
+	for i := 1; i < len(fact); i++ {
+		fact[i] = fact[i-1] * float64(i)
+	}
+	cache := map[uint64]float64{}
+	costOf := func(mask uint64) float64 {
+		if mask == 0 {
+			return 0
+		}
+		if c, ok := cache[mask]; ok {
+			return c
+		}
+		var R []int
+		for idx, a := range agents {
+			if mask&(1<<uint(idx)) != 0 {
+				R = append(R, a)
+			}
+		}
+		c := cost(R)
+		cache[mask] = c
+		return c
+	}
+	shares := make(map[int]float64, k)
+	kf := fact[k]
+	for lm := uint64(0); lm < 1<<uint(k); lm++ {
+		qSize := bits.OnesCount64(lm)
+		if qSize == k {
+			continue
+		}
+		w := fact[qSize] * fact[k-qSize-1] / kf
+		cq := costOf(lm)
+		for i := 0; i < k; i++ {
+			if lm&(1<<uint(i)) != 0 {
+				continue // i ∈ Q
+			}
+			shares[agents[i]] += w * (costOf(lm|1<<uint(i)) - cq)
+		}
+	}
+	return shares
 }

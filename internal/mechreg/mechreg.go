@@ -178,11 +178,11 @@ type Descriptor struct {
 	// descriptor cannot advertise a tier its mechanism lacks (or hide
 	// one it has).
 	Approx bool
-	// Parallel declares that the mechanism has a parallel evaluation
-	// tier (DESIGN.md §14): when the BuildContext carries an engine
-	// pool, some part of its evaluation — the spider-oracle center
-	// scans, the sampled tier's permutation streams — runs at the
-	// pool's width with width-invariant bytes. Mechanisms without the
+	// Parallel declares that the mechanism can use an engine pool
+	// (DESIGN.md §14): when the BuildContext carries one, some part of
+	// its evaluation — the spider-oracle center scans, the sampled
+	// tier's permutation streams — runs at the pool's width, with the
+	// same bytes as without it. Mechanisms without the
 	// flag ignore the pool entirely (closed-form evaluations have
 	// nothing to partition). Advertised per network in /v1/mechanisms.
 	Parallel bool
@@ -222,13 +222,14 @@ type BuildContext struct {
 	Net *wireless.Network
 	// Oracle is the NWST spider oracle for the general wireless
 	// mechanism; nil selects nwst.BranchSpiderOracle (the paper's
-	// 1.5·ln k choice) — or its parallel tier when Pool is set.
+	// 1.5·ln k choice), run on Pool when one is set.
 	Oracle nwst.Oracle
-	// Pool, when non-nil, opts mechanisms with a parallel tier
-	// (Descriptor.Parallel) into it at this width: the default spider
-	// oracle becomes nwst.ParallelBranchSpiderOracle(Pool) and the
-	// sampled Shapley tier shards its permutation streams over the
-	// pool. An explicit Oracle always wins over the pool's default.
+	// Pool, when non-nil, runs the partitioned work of mechanisms with
+	// Descriptor.Parallel on its workers: the default spider oracle
+	// becomes nwst.ParallelBranchSpiderOracle(Pool) and the sampled
+	// Shapley tier runs its permutation streams on the pool. It changes
+	// scheduling only, never bytes. An explicit Oracle always wins over
+	// the pool's default.
 	Pool *engine.Pool
 
 	rd  *memtred.Reduction
@@ -274,8 +275,8 @@ func (c *BuildContext) SPT() *universal.Tree {
 }
 
 // oracle resolves the context's oracle selection: an explicit Oracle,
-// else the parallel default when a pool is configured, else the serial
-// default.
+// else the default oracle on the pool when one is configured, else the
+// default oracle.
 func (c *BuildContext) oracle() nwst.Oracle {
 	if c.Oracle != nil {
 		return c.Oracle
@@ -404,8 +405,8 @@ func (d Descriptor) build(ctx *BuildContext) (mech.Mechanism, error) {
 	}
 	if ctx.Pool != nil && d.Parallel {
 		// The Moulin–Shenker wrappers own the sampled tier; handing them
-		// the pool opts that tier into the stream-sharded estimator.
-		// (wireless-bb's parallelism flows through ctx.oracle instead.)
+		// the pool runs its permutation streams there. (wireless-bb's
+		// parallelism flows through ctx.oracle instead.)
 		if mm, ok := m.(*sharing.MechanismFromMethod); ok {
 			mm.Pool = ctx.Pool
 		}

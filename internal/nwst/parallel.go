@@ -9,23 +9,16 @@ import (
 	"wmcs/internal/graph"
 )
 
-// This file is the parallel tier of the spider oracles (DESIGN.md §14).
-// Both oracles are center scans: every live vertex is scored
-// independently against read-only state (graph, weights, terminal
-// marks), and the winner is picked by the deterministic total order the
-// serial oracles already use. Parallelizing is therefore a partition of
-// the center range into *fixed* contiguous slices — a function of the
-// vertex count only, never of the pool width — each scanned by one task
-// with its own scratch, followed by a fold of the slice winners in slice
-// order under the serial acceptance predicate (ratio < best − 1e-15,
-// first winner kept on near-ties). Width 1 runs the identical slicing
-// serially, so the parallel oracles are byte-identical at every width.
-//
-// Relative to the *serial* oracles the fold is grouped differently, so
-// in the adversarial case of a chain of candidates each within 1e-15 of
-// the last the two tiers could keep different (equally minimal-ratio)
-// spiders; on the repo's scenario grid they agree bit for bit — the
-// differential tests pin that — and the parallel tier is opt-in.
+// This file holds the spider oracles (DESIGN.md §14). Both are center
+// scans: every live vertex is scored independently against read-only
+// state (graph, weights, terminal marks). The center range is cut into
+// *fixed* contiguous slices — a function of the vertex count only, never
+// of the pool width — each scanned by one task with its own scratch,
+// and the slice winners are folded in slice order under the acceptance
+// predicate ratio < best − 1e-15 (first winner kept on near-ties).
+// KleinRaviOracle and BranchSpiderOracle run that fold on a nil pool,
+// the Parallel* constructors on a wider one; since the slicing and the
+// fold order are the same at every width, so are the bytes.
 
 // oracleSliceCap bounds the number of center slices: min(n, 32) slices
 // keeps the fold trivially cheap while feeding any realistic pool.
@@ -39,52 +32,22 @@ func oracleSlices(n int) int {
 	return oracleSliceCap
 }
 
-// oracleScratch is one task's private set of the buffers the serial
-// oracles keep in State.sc. It carries no information across uses, so
-// which pooled scratch serves which slice never affects a byte.
-type oracleScratch struct {
-	heap     *graph.IndexHeap
-	done     []bool
-	dist     []float64
-	par      []int
-	sortBuf  []int
-	sorter   termDistSorter
-	inUnion  []bool
-	nodesBuf []int
-	termsBuf []int
-	pathBuf  []int
-	items    []legItem
-	legEnds  []int
-	hubLegs  []legItem
-	covered  []bool
-}
+// scratchPool hands each slice task a private scratch. A scratch
+// carries no information across uses, so which one serves which slice
+// never affects a byte.
+var scratchPool = sync.Pool{New: func() any { return &scratch{heap: graph.NewIndexHeap(0)} }}
 
-var oracleScratchPool = sync.Pool{New: func() any { return &oracleScratch{heap: graph.NewIndexHeap(0)} }}
-
-// grow sizes the scratch to an n-vertex graph.
-func (sc *oracleScratch) grow(n int) {
-	sc.heap.Grow(n)
-	if cap(sc.dist) < n {
-		sc.dist = make([]float64, n)
-		sc.par = make([]int, n)
-	}
-	sc.dist = sc.dist[:n]
-	sc.par = sc.par[:n]
-	if cap(sc.inUnion) < n {
-		sc.inUnion = make([]bool, n)
-	}
-	sc.inUnion = sc.inUnion[:n]
-	if cap(sc.covered) < n {
-		sc.covered = make([]bool, n)
-	}
-	sc.covered = sc.covered[:n]
-}
-
-// spiderBufs mirrors scratch.spiderBufs on the task-local scratch.
-func (sc *oracleScratch) spiderBufs() []bool {
-	sc.nodesBuf = sc.nodesBuf[:0]
-	sc.termsBuf = sc.termsBuf[:0]
-	return sc.inUnion
+// forSlices runs fn over the fixed center slices of an n-vertex scan on
+// the pool, each with a borrowed scratch sized to n, and returns the
+// results in slice order.
+func forSlices[T any](pool *engine.Pool, n int, fn func(sc *scratch, lo, hi int) T) []T {
+	ns := oracleSlices(n)
+	return engine.Map(pool, ns, func(b int) T {
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		sc.grow(n)
+		return fn(sc, b*n/ns, (b+1)*n/ns)
+	})
 }
 
 // sliceResult is one center slice's winner.
@@ -93,8 +56,8 @@ type sliceResult struct {
 	ok bool
 }
 
-// foldSlices merges slice winners in slice order under the serial
-// acceptance predicate, starting from base.
+// foldSlices merges slice winners in slice order under the acceptance
+// predicate, starting from base.
 func foldSlices(base Spider, okBase bool, out []sliceResult) (Spider, bool) {
 	best, found := base, okBase
 	for _, r := range out {
@@ -106,43 +69,57 @@ func foldSlices(base Spider, okBase bool, out []sliceResult) (Spider, bool) {
 	return best, found
 }
 
-// ParallelKleinRaviOracle returns KleinRaviOracle with the center scan
-// partitioned across the pool's workers. The returned oracle requires
-// that the State not be used concurrently by anything else during a
-// call (the mechanism's call discipline already guarantees this).
+// KleinRaviOracle finds a minimum-ratio spider in the style of Klein–Ravi
+// [33]: for every live center, take the minCover, minCover+1, … nearest
+// paying terminals by node-weighted distance and keep the prefix whose
+// exact union cost per covered paying terminal is smallest.
+func KleinRaviOracle(s *State, minCover int) (Spider, bool) {
+	return kleinRavi(s, minCover, nil)
+}
+
+// BranchSpiderOracle extends KleinRaviOracle with Guha–Khuller style
+// branch legs: a leg may route to an intermediate hub and fork to two
+// terminals there, which is what improves the greedy from 2 ln k towards
+// 1.5 ln k. Per center it greedily combines single and forked legs by
+// cost per newly covered terminal, keeping the best exact-ratio prefix.
+func BranchSpiderOracle(s *State, minCover int) (Spider, bool) {
+	return branchSpider(s, minCover, nil)
+}
+
+// ParallelKleinRaviOracle returns KleinRaviOracle with its center slices
+// scanned by the pool's workers. The returned oracle requires that the
+// State not be used concurrently by anything else during a call (the
+// mechanism's call discipline already guarantees this).
 func ParallelKleinRaviOracle(pool *engine.Pool) Oracle {
 	return func(s *State, minCover int) (Spider, bool) {
-		return kleinRaviParallel(s, minCover, pool)
+		return kleinRavi(s, minCover, pool)
 	}
 }
 
-func kleinRaviParallel(s *State, minCover int, pool *engine.Pool) (Spider, bool) {
-	n := s.g.N()
+// ParallelBranchSpiderOracle returns BranchSpiderOracle with its three
+// scans — the Klein–Ravi base, the all-pairs distance build and the
+// per-center greedy — run by the pool's workers.
+func ParallelBranchSpiderOracle(pool *engine.Pool) Oracle {
+	return func(s *State, minCover int) (Spider, bool) {
+		return branchSpider(s, minCover, pool)
+	}
+}
+
+func kleinRavi(s *State, minCover int, pool *engine.Pool) (Spider, bool) {
 	paying := s.PayingTerminals()
 	if len(paying) == 0 {
 		return Spider{Ratio: math.Inf(1)}, false
 	}
-	if minCover > len(paying) {
-		minCover = len(paying)
-	}
-	ns := oracleSlices(n)
-	out := engine.Map(pool, ns, func(b int) sliceResult {
-		lo, hi := b*n/ns, (b+1)*n/ns
-		sc := oracleScratchPool.Get().(*oracleScratch)
-		defer oracleScratchPool.Put(sc)
-		sc.grow(n)
+	minCover = min(minCover, len(paying))
+	out := forSlices(pool, s.g.N(), func(sc *scratch, lo, hi int) sliceResult {
 		sp, ok := krScanCenters(s, lo, hi, paying, minCover, sc)
 		return sliceResult{sp, ok}
 	})
 	return foldSlices(Spider{Ratio: math.Inf(1)}, false, out)
 }
 
-// krScanCenters runs the Klein–Ravi center loop over [lo, hi) with
-// task-local scratch. The per-center arithmetic — early-stop sweep,
-// (distance, id) terminal order, incremental prefix union with
-// left-to-right cost accumulation — is byte-for-byte the serial
-// KleinRaviOracle's; keep the two in lockstep.
-func krScanCenters(s *State, lo, hi int, paying []int, minCover int, sc *oracleScratch) (Spider, bool) {
+// krScanCenters runs the Klein–Ravi center loop over [lo, hi).
+func krScanCenters(s *State, lo, hi int, paying []int, minCover int, sc *scratch) (Spider, bool) {
 	best := Spider{Ratio: math.Inf(1)}
 	found := false
 	for v := lo; v < hi; v++ {
@@ -150,7 +127,14 @@ func krScanCenters(s *State, lo, hi int, paying []int, minCover int, sc *oracleS
 			continue
 		}
 		dist, parent := sc.dist, sc.par
-		s.nodeDistStopWith(sc.heap, &sc.done, v, dist, parent, len(paying))
+		// Settle only as far as the last paying terminal: nothing past it
+		// is read (see nodeDist).
+		s.nodeDist(sc, v, dist, parent, len(paying))
+		// Paying terminals sorted by distance from v. The comparator is a
+		// total order (ties broken by id), so the sorted sequence — and
+		// with it every downstream byte — does not depend on the sort
+		// algorithm. sort.Sort on the pointer sorter avoids the per-call
+		// closure and reflect.Swapper allocations of sort.Slice.
 		terms := append(sc.sortBuf[:0], paying...)
 		sc.sortBuf = terms
 		sc.sorter = termDistSorter{terms: terms, dist: dist}
@@ -158,6 +142,12 @@ func krScanCenters(s *State, lo, hi int, paying []int, minCover int, sc *oracleS
 		if math.IsInf(dist[terms[minCover-1]], 1) {
 			continue
 		}
+		// Incremental prefix union: leg j extends the union of legs
+		// 1..j−1 in place. Nodes are appended center first, then each
+		// leg's path nodes, skipping ones already present, and
+		// cost/terms accumulate at append time — the same strictly
+		// left-to-right float summation finishSpider performs on a
+		// rebuilt union.
 		inUnion := sc.spiderBufs()
 		nodes := append(sc.nodesBuf, v)
 		inUnion[v] = true
@@ -194,11 +184,7 @@ func krScanCenters(s *State, lo, hi int, paying []int, minCover int, sc *oracleS
 				ratio = cost / float64(payCnt)
 			}
 			if payCnt >= minCover && ratio < best.Ratio-1e-15 {
-				bn := append([]int(nil), nodes...)
-				bt := append([]int(nil), unionTerms...)
-				sort.Ints(bn)
-				sort.Ints(bt)
-				best = Spider{Center: v, Nodes: bn, Terms: bt, Paying: payCnt, Cost: cost, Ratio: ratio}
+				best = sc.keep(Spider{Center: v, Nodes: nodes, Terms: unionTerms, Paying: payCnt, Cost: cost, Ratio: ratio})
 				found = true
 			}
 		}
@@ -208,60 +194,43 @@ func krScanCenters(s *State, lo, hi int, paying []int, minCover int, sc *oracleS
 		sc.nodesBuf = nodes
 		sc.termsBuf = unionTerms
 	}
-	return best, found
+	return sc.own(best), found
 }
 
-// ParallelBranchSpiderOracle returns BranchSpiderOracle with its three
-// scans — the Klein–Ravi base, the all-pairs distance build (disjoint
-// row writes), and the per-center greedy — partitioned across the
-// pool's workers.
-func ParallelBranchSpiderOracle(pool *engine.Pool) Oracle {
-	return func(s *State, minCover int) (Spider, bool) {
-		base, okBase := kleinRaviParallel(s, minCover, pool)
-		n := s.g.N()
-		paying := s.PayingTerminals()
-		if len(paying) == 0 {
-			return base, okBase
-		}
-		if minCover > len(paying) {
-			minCover = len(paying)
-		}
-		// All-pairs rows live in the state's scratch (grown serially
-		// here); tasks write disjoint rows with task-local heaps, so the
-		// table contents equal the serial build's exactly.
-		dists, parents := s.sc.allPairs(n)
-		ns := oracleSlices(n)
-		engine.Map(pool, ns, func(b int) struct{} {
-			sc := oracleScratchPool.Get().(*oracleScratch)
-			defer oracleScratchPool.Put(sc)
-			sc.grow(n)
-			for v := b * n / ns; v < (b+1)*n/ns; v++ {
-				if s.alive[v] {
-					s.nodeDistStopWith(sc.heap, &sc.done, v, dists[v], parents[v], -1)
-				}
-			}
-			return struct{}{}
-		})
-		out := engine.Map(pool, ns, func(b int) sliceResult {
-			lo, hi := b*n/ns, (b+1)*n/ns
-			sc := oracleScratchPool.Get().(*oracleScratch)
-			defer oracleScratchPool.Put(sc)
-			sc.grow(n)
-			sp, ok := branchScanCenters(s, lo, hi, paying, minCover, dists, parents, sc)
-			return sliceResult{sp, ok}
-		})
-		return foldSlices(base, okBase, out)
+func branchSpider(s *State, minCover int, pool *engine.Pool) (Spider, bool) {
+	base, okBase := kleinRavi(s, minCover, pool)
+	n := s.g.N()
+	paying := s.PayingTerminals()
+	if len(paying) == 0 {
+		return base, okBase
 	}
+	minCover = min(minCover, len(paying))
+	// All-pairs node distances from every live vertex (hubs and centers).
+	// The rows live in the state's scratch, grown here; slice tasks write
+	// disjoint rows.
+	dists, parents := s.sc.allPairs(n)
+	forSlices(pool, n, func(sc *scratch, lo, hi int) struct{} {
+		for v := lo; v < hi; v++ {
+			if s.alive[v] {
+				s.nodeDist(sc, v, dists[v], parents[v], -1)
+			}
+		}
+		return struct{}{}
+	})
+	out := forSlices(pool, n, func(sc *scratch, lo, hi int) sliceResult {
+		sp, ok := branchScanCenters(s, lo, hi, paying, minCover, dists, parents, sc)
+		return sliceResult{sp, ok}
+	})
+	return foldSlices(base, okBase, out)
 }
 
-// branchScanCenters runs the branch-leg greedy over centers [lo, hi)
-// with task-local scratch, reading the shared all-pairs tables. The
-// per-center arithmetic is byte-for-byte the serial
-// BranchSpiderOracle's; keep the two in lockstep.
-func branchScanCenters(s *State, lo, hi int, paying []int, minCover int, dists [][]float64, parents [][]int, sc *oracleScratch) (Spider, bool) {
+// branchScanCenters runs the branch-leg greedy over centers [lo, hi),
+// reading the shared all-pairs tables.
+func branchScanCenters(s *State, lo, hi int, paying []int, minCover int, dists [][]float64, parents [][]int, sc *scratch) (Spider, bool) {
 	best := Spider{Ratio: math.Inf(1)}
 	found := false
 	covered := sc.covered
+	n := s.g.N()
 	for v := lo; v < hi; v++ {
 		if !s.alive[v] {
 			continue
@@ -272,11 +241,11 @@ func branchScanCenters(s *State, lo, hi int, paying []int, minCover int, dists [
 				items = append(items, legItem{cost: dists[v][t], hub: -1, t1: t, t2: -1})
 			}
 		}
-		n := s.g.N()
 		for u := 0; u < n; u++ {
 			if !s.alive[u] || u == v || math.IsInf(dists[v][u], 1) {
 				continue
 			}
+			// Two nearest paying terminals from hub u.
 			t1, t2 := -1, -1
 			for _, t := range paying {
 				if math.IsInf(dists[u][t], 1) {
@@ -299,6 +268,7 @@ func branchScanCenters(s *State, lo, hi int, paying []int, minCover int, dists [
 			})
 		}
 		sc.items = items
+		// Greedy by cost per newly covered terminal.
 		for _, t := range paying {
 			covered[t] = false
 		}
@@ -340,9 +310,9 @@ func branchScanCenters(s *State, lo, hi int, paying []int, minCover int, dists [
 				hubLegs = append(hubLegs, it)
 			}
 			if nCovered >= minCover {
-				sp := assembleBranchSpiderWith(sc, s, v, parents, legEnds, hubLegs)
+				sp := sc.assembleBranchSpider(s, v, parents, legEnds, hubLegs)
 				if sp.Paying >= minCover && sp.Ratio < best.Ratio-1e-15 {
-					best = sp.Clone()
+					best = sc.keep(sp)
 					found = true
 				}
 			}
@@ -350,12 +320,38 @@ func branchScanCenters(s *State, lo, hi int, paying []int, minCover int, dists [
 		sc.legEnds = legEnds
 		sc.hubLegs = hubLegs
 	}
-	return best, found
+	return sc.own(best), found
 }
 
-// assembleBranchSpiderWith is assembleBranchSpider on task-local
-// scratch; like it, the result aliases the scratch — Clone to keep it.
-func assembleBranchSpiderWith(sc *oracleScratch, s *State, center int, parents [][]int, singleEnds []int, hubLegs []legItem) Spider {
+// keep copies a slice's running best into the scratch's best buffers,
+// so improving candidates cost no allocation; own hands the slice
+// winner out as a sorted, independently owned Spider.
+func (sc *scratch) keep(sp Spider) Spider {
+	sc.bestNodes = append(sc.bestNodes[:0], sp.Nodes...)
+	sc.bestTerms = append(sc.bestTerms[:0], sp.Terms...)
+	sp.Nodes, sp.Terms = sc.bestNodes, sc.bestTerms
+	return sp
+}
+
+func (sc *scratch) own(sp Spider) Spider {
+	sp = sp.Clone()
+	sort.Ints(sp.Nodes)
+	sort.Ints(sp.Terms)
+	return sp
+}
+
+// spiderBufs returns the cleared membership mask with empty node/terminal
+// accumulators.
+func (sc *scratch) spiderBufs() []bool {
+	sc.nodesBuf = sc.nodesBuf[:0]
+	sc.termsBuf = sc.termsBuf[:0]
+	return sc.inUnion
+}
+
+// assembleBranchSpider unions the center's single legs with hub-forked
+// legs and computes exact cost, terminals and ratio. The result aliases
+// the scratch; Clone to keep it.
+func (sc *scratch) assembleBranchSpider(s *State, center int, parents [][]int, singleEnds []int, hubLegs []legItem) Spider {
 	inUnion := sc.spiderBufs()
 	nodes := append(sc.nodesBuf, center)
 	inUnion[center] = true
@@ -376,16 +372,16 @@ func assembleBranchSpiderWith(sc *oracleScratch, s *State, center int, parents [
 		add(parents[hl.hub], hl.t1)
 		add(parents[hl.hub], hl.t2)
 	}
-	sp := finishSpiderWith(sc, s, center, nodes)
+	sp := sc.finishSpider(s, center, nodes)
 	for _, v := range sp.Nodes {
 		inUnion[v] = false
 	}
 	return sp
 }
 
-// finishSpiderWith is finishSpider on task-local scratch: cost summed in
-// insertion order, then nodes/terms sorted in place.
-func finishSpiderWith(sc *oracleScratch, s *State, center int, nodes []int) Spider {
+// finishSpider computes cost/terms/ratio over the accumulated node union
+// (cost summed in insertion order) and sorts the scratch-backed slices.
+func (sc *scratch) finishSpider(s *State, center int, nodes []int) Spider {
 	var cost float64
 	terms := sc.termsBuf[:0]
 	paying := 0

@@ -28,10 +28,9 @@ func spidersEqual(a, b Spider) bool {
 	return true
 }
 
-// TestParallelOraclesMatchSerial pins the parallel oracles to the serial
-// ones spider-for-spider across random instances and minCover values:
-// the per-center arithmetic is shared, so on real instances (no sub-eps
-// ratio chains) the winners must coincide exactly.
+// TestParallelOraclesMatchSerial pins the oracles on a pool to the
+// nil-pool ones spider-for-spider across random instances and minCover
+// values: the slicing and fold order do not depend on the width.
 func TestParallelOraclesMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pool := engine.New(4)
@@ -65,9 +64,9 @@ func TestParallelOraclesMatchSerial(t *testing.T) {
 	}
 }
 
-// TestParallelOracleWidthInvariant: the parallel oracles produce the
-// same spider at width 1 and every wider pool (the fixed-slice
-// contract), including through a full greedy Solve.
+// TestParallelOracleWidthInvariant: the oracles produce the same spider
+// at width 1 and every wider pool (the fixed-slice contract), including
+// through a full greedy Solve.
 func TestParallelOracleWidthInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 10; trial++ {
@@ -97,8 +96,8 @@ func TestParallelOracleWidthInvariant(t *testing.T) {
 }
 
 // TestParallelSolveMatchesSerialSolve: end-to-end greedy equality —
-// same contractions, same final solution — between serial and parallel
-// oracles.
+// same contractions, same final solution — between the nil-pool and
+// pooled oracles.
 func TestParallelSolveMatchesSerialSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pool := engine.New(4)

@@ -6,15 +6,12 @@ import (
 	"wmcs/internal/engine"
 )
 
-// ParallelSpec configures deterministic intra-query parallelism
-// (DESIGN.md §14): one expensive evaluation — the wireless-bb spider
-// oracle's center scans, the sampled Shapley tier's permutation
-// streams, the exact library enumeration — runs on Workers engine
-// workers instead of one, with byte-identical output at every width.
-// The parallel tier is opt-in because its reductions are shaped
-// differently from the historical serial ones (fixed blocks and streams
-// instead of one sequence): within the tier, width never changes a
-// byte; across tiers, the sampled estimator's low bits differ.
+// ParallelSpec configures intra-query parallelism (DESIGN.md §14): one
+// expensive evaluation — the wireless-bb spider oracle's center scans,
+// the sampled Shapley tier's permutation streams — runs on Workers
+// engine workers instead of one. Every such reduction folds a fixed
+// partition of its work, so the output is byte-identical to the serial
+// evaluator's at every width: the spec changes scheduling, not results.
 type ParallelSpec struct {
 	// Workers is the engine-pool width, ≥ 1. There is no "auto" value
 	// here by design: resolution of 0-means-GOMAXPROCS happens at the
@@ -44,8 +41,8 @@ func (sp ParallelSpec) Validate() error {
 	return nil
 }
 
-// WithParallel routes heavy evaluations through the parallel tier at the
-// spec's width; it panics on an invalid spec — use WithParallelChecked
+// WithParallel runs heavy evaluations on an engine pool of the spec's
+// width; it panics on an invalid spec — use WithParallelChecked
 // to handle that as a typed error (the NewShapley/NewShapleyChecked
 // pattern).
 func WithParallel(spec ParallelSpec) Option {
@@ -70,5 +67,5 @@ func WithParallelChecked(spec ParallelSpec) (Option, error) {
 }
 
 // ParallelWorkers reports the configured parallel width, 0 when the
-// evaluator runs the serial tier (the default).
+// evaluator runs serially (the default).
 func (e *Evaluator) ParallelWorkers() int { return e.parallelWorkers }

@@ -83,8 +83,8 @@ type Evaluator struct {
 	// per evaluator and VersionedEvaluator consults the current one.
 	noDelta bool
 	// pool and parallelWorkers carry the WithParallel configuration: a
-	// shared engine pool for the parallel evaluation tier (DESIGN.md
-	// §14) and its declared width. nil/0 = serial tier.
+	// shared engine pool for intra-query parallelism (DESIGN.md §14)
+	// and its declared width. nil/0 = serial.
 	pool            *engine.Pool
 	parallelWorkers int
 

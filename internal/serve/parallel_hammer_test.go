@@ -20,10 +20,9 @@ import (
 // writer rotates each network through PATCH versions. Concurrent
 // queries against distinct networks land in shared dispatch rounds, so
 // their groups run concurrently on replica slots; every version-labeled
-// response must be byte-identical to a cold width-1 evaluator *on the
-// parallel tier* at exactly the version its X-Wmcs-Version header names
-// (width 1 stands in for the server's width because the tier is
-// width-invariant by construction — the query-layer sweep pins that).
+// response must be byte-identical to a cold plain evaluator at exactly
+// the version its X-Wmcs-Version header names (the server's width never
+// changes a byte — the query-layer sweep pins that).
 func TestParallelReplicaHammer(t *testing.T) {
 	const (
 		n       = 8
@@ -93,7 +92,7 @@ func TestParallelReplicaHammer(t *testing.T) {
 		}
 		record := func() {
 			snap := replica.Snapshot()
-			ev := query.NewEvaluator(snap, query.WithParallel(query.ParallelSpec{Workers: 1}))
+			ev := query.NewEvaluator(snap)
 			for pi, req := range nc.probes {
 				c, err := Canonicalize(req, n, src)
 				if err != nil {

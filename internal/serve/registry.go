@@ -30,7 +30,7 @@ type Registry struct {
 	order []string // registration order, for stable listings
 	// parallel is the intra-query parallel width every *future*
 	// registration builds its evaluators with (query.WithParallel);
-	// 0 keeps the historical serial tier. Set it before registering —
+	// 0 evaluates serially. Set it before registering —
 	// SetParallel does not retrofit existing entries.
 	parallel int
 }
@@ -91,11 +91,11 @@ func NewRegistry() *Registry {
 }
 
 // SetParallel makes every future registration build its versioned
-// evaluators on the parallel evaluation tier at the given width
-// (DESIGN.md §14); workers <= 0 selects the serial tier. The width
+// evaluators on an engine pool of the given width (DESIGN.md §14);
+// workers <= 0 evaluates serially. Bytes are the same either way. The width
 // carries across PATCH swaps automatically (VersionedEvaluator re-applies
 // its construction options on every rebuild). Call before registering
-// networks — entries already hosted keep the tier they were built with.
+// networks — entries already hosted keep the width they were built with.
 func (r *Registry) SetParallel(workers int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -34,12 +34,12 @@ type Options struct {
 	// MaxBatch caps how many queued queries one dispatcher round may
 	// carry (default 64).
 	MaxBatch int
-	// ParallelEval enables the deterministic intra-query parallel tier
-	// (DESIGN.md §14) at the given width: networks registered after
-	// construction get evaluators built with query.WithParallel, and the
-	// admission dispatcher runs a round's per-version groups concurrently
-	// on up to ParallelEval replica slots. 0 (the default) keeps the
-	// historical serial tier; auto-width ("0 means GOMAXPROCS") is the
+	// ParallelEval enables intra-query parallelism (DESIGN.md §14) at
+	// the given width: networks registered after construction get
+	// evaluators built with query.WithParallel, and the admission
+	// dispatcher runs a round's per-version groups concurrently on up to
+	// ParallelEval replica slots. Response bytes do not depend on it.
+	// 0 (the default) evaluates serially; auto-width ("0 means GOMAXPROCS") is the
 	// flag layer's job — wmcsd resolves -parallel-eval 0 and passes the
 	// resolved width here.
 	ParallelEval int
@@ -224,7 +224,7 @@ type statszPayload struct {
 	Batches        uint64 `json:"batches"`
 	BatchedQueries uint64 `json:"batched_queries"`
 	// ParallelEval is the configured intra-query parallel width (0 =
-	// serial tier); ReplicaRounds/ReplicaGroups count the dispatch
+	// serial); ReplicaRounds/ReplicaGroups count the dispatch
 	// rounds whose groups ran concurrently on replica slots and the
 	// groups those rounds carried.
 	ParallelEval  int    `json:"parallel_eval"`
@@ -358,9 +358,9 @@ type mechInfo struct {
 	// Approx advertises a sampled Shapley tier: requests may carry an
 	// "approx" object and receive an (ε, δ) certificate.
 	Approx bool `json:"approx"`
-	// Parallel advertises the deterministic parallel evaluation tier
-	// (DESIGN.md §14): on a daemon booted with -parallel-eval this
-	// mechanism's heavy paths run on the engine pool, width-invariantly.
+	// Parallel advertises that on a daemon booted with -parallel-eval
+	// this mechanism's heavy paths run on the engine pool (DESIGN.md
+	// §14), with the same bytes as a serial daemon.
 	Parallel bool `json:"parallel"`
 
 	BudgetBalance     string `json:"budget_balance"` // "none" | "solution" | "optimum"

@@ -3,17 +3,15 @@ package sharing
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"math/rand"
 	"sort"
 )
 
 // This file implements the approximate Shapley tier: sampled-permutation
-// estimation with an explicit Hoeffding certificate. The exact methods
-// (NewShapley, NewIncrementalShapley) enumerate 2^k subsets and encode
-// them as uint64 masks, which caps both the practical set size (~20) and
-// the universe (ShapleyAgentLimit). The sampled tier has neither cap:
+// estimation with an explicit Hoeffding certificate. The exact method
+// (NewShapley) enumerates 2^k subsets and encodes them as uint64 masks,
+// which caps both the practical set size (~20) and the universe
+// (ShapleyAgentLimit). The sampled tier has neither cap:
 // subsets are keyed by canonical byte strings, and the work is m·k oracle
 // calls for m sampled permutations — with a persistent subset-cost memo,
 // so permutations sharing prefixes, repeated queries, and Moulin–Shenker
@@ -113,69 +111,30 @@ func (s *SampledShapley) Shares(R []int) map[int]float64 {
 }
 
 // SharesCert estimates the Shapley shares of R and returns the Hoeffding
-// certificate of the estimate. The permutation stream is derived from
-// the instance seed and the canonical members of R, so equal queries
-// reproduce equal bytes regardless of call order.
+// certificate of the estimate: SharesCertParallel run serially. The
+// permutation streams are derived from the instance seed and the
+// canonical members of R, so equal queries reproduce equal bytes
+// regardless of call order.
 func (s *SampledShapley) SharesCert(R []int) (map[int]float64, ApproxCert) {
+	return s.SharesCertParallel(R, nil)
+}
+
+// cert returns the Hoeffding certificate for an estimate over R. It
+// depends only on (samples, delta, k) and Δmax, the largest singleton
+// cost — which the evaluation of R has already memoized.
+func (s *SampledShapley) cert(R []int) ApproxCert {
 	k := len(R)
 	if k == 0 {
-		return map[int]float64{}, ApproxCert{Samples: s.samples, Delta: s.delta}
+		return ApproxCert{Samples: s.samples, Delta: s.delta}
 	}
-	members := append([]int(nil), R...)
-	sort.Ints(members)
-
-	// Δmax from the singleton costs (these warm the memo for the
-	// permutation walks too).
 	var dmax float64
 	single := make([]int, 1)
-	for _, a := range members {
+	for _, a := range R {
 		single[0] = a
 		if c := s.costOfSorted(single); c > dmax {
 			dmax = c
 		}
 	}
-
-	rng := rand.New(rand.NewSource(s.permSeed(members)))
-	sums := make([]float64, k)
-	perm := make([]int, k)
-	prefix := make([]int, 0, k)
-	idx := make(map[int]int, k)
-	for i, a := range members {
-		idx[a] = i
-	}
-	for t := 0; t < s.samples; t++ {
-		copy(perm, members)
-		rng.Shuffle(k, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		prefix = prefix[:0]
-		prev := 0.0
-		for _, a := range perm {
-			// Insert a into the sorted prefix.
-			at := sort.SearchInts(prefix, a)
-			prefix = append(prefix, 0)
-			copy(prefix[at+1:], prefix[at:])
-			prefix[at] = a
-			c := s.costOfSorted(prefix)
-			sums[idx[a]] += c - prev
-			prev = c
-		}
-	}
-	shares := make(map[int]float64, k)
-	for i, a := range members {
-		shares[a] = sums[i] / float64(s.samples)
-	}
 	eps := dmax * math.Sqrt(math.Log(2*float64(k)/s.delta)/(2*float64(s.samples)))
-	return shares, ApproxCert{Samples: s.samples, Epsilon: eps, Delta: s.delta, DeltaMax: dmax}
-}
-
-// permSeed mixes the instance seed with the canonical receiver set.
-func (s *SampledShapley) permSeed(sorted []int) int64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(s.seed))
-	h.Write(b[:])
-	for _, a := range sorted {
-		binary.LittleEndian.PutUint64(b[:], uint64(a))
-		h.Write(b[:])
-	}
-	return int64(h.Sum64())
+	return ApproxCert{Samples: s.samples, Epsilon: eps, Delta: s.delta, DeltaMax: dmax}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -12,20 +11,16 @@ import (
 	"wmcs/internal/engine"
 )
 
-// This file is the parallel tier of the sharing package (DESIGN.md §14):
-// the exact 2^k enumeration and the sampled permutation walk, restated as
-// order-stable reductions over a *fixed* partition of the work. The
-// partition never depends on the worker count — width only decides how
-// many partition cells run concurrently — so the bytes produced at width
-// 1 and width N are identical by construction. The price of that
-// property is that the parallel tier is a *different* reduction shape
-// from the historical serial one (per-block partial sums folded in block
-// order, per-stream permutation generators instead of one stream), so
-// its low bits are not those of Shapley.Shares/SampledShapley.SharesCert
-// — callers opt in, and once in, stay deterministic at any width.
+// This file holds the two Shapley reductions (DESIGN.md §14): the exact
+// 2^k enumeration and the sampled permutation walk, each an order-stable
+// fold over a *fixed* partition of the work — enumeration blocks and
+// permutation streams whose count depends on k and the sample budget,
+// never on the worker count. A pool only decides how many partition
+// cells run at once, so Shapley.Shares and SampledShapley.SharesCert
+// (the nil-pool calls) and every pool width produce the same bytes.
 
 // shapleyBlockBits bounds the number of enumeration blocks the exact
-// parallel method partitions 2^k subsets into: 2^min(k,shapleyBlockBits)
+// method partitions 2^k subsets into: 2^min(k,shapleyBlockBits)
 // contiguous blocks. 64 blocks keeps the fixed merge cheap while leaving
 // enough cells to feed any realistic pool width; the count is a function
 // of k alone, never of the pool, which is what makes the reduction
@@ -33,7 +28,7 @@ import (
 const shapleyBlockBits = 6
 
 // sampledStreams is the fixed number of permutation streams the sampled
-// parallel method shards its samples into. Like the block count it is a
+// method shards its samples into. Like the block count it is a
 // constant, not the worker count: stream j always draws the same
 // permutations from its own FNV(seed‖j‖R) generator, so the estimate is
 // identical whether the streams run on one core or sixteen.
@@ -58,11 +53,12 @@ func shapleyBlocks(k int) (count, size uint64) {
 // (one entry per local subset mask, each computed exactly once); phase 2
 // accumulates one partial share vector per block and folds them in block
 // order. A nil or width-1 pool runs the identical blocked reduction
-// serially, so the result is byte-identical at every width.
+// serially (that is Shares), so the result is byte-identical at every
+// width.
 //
 // The cost oracle must be safe for concurrent calls when the pool is
-// wider than 1 (the oracles in this repo are pure functions). Like
-// Shares, the method panics for |R| > 20.
+// wider than 1 (the oracles in this repo are pure functions). The method
+// panics for |R| > 20.
 func (s *Shapley) SharesParallel(R []int, pool *engine.Pool) map[int]float64 {
 	k := len(R)
 	if k == 0 {
@@ -170,10 +166,9 @@ func (s *Shapley) SharesParallel(R []int, pool *engine.Pool) map[int]float64 {
 	return shares
 }
 
-// streamSeed derives stream j's generator seed: FNV-1a over the instance
-// seed, the stream index, and the canonical receiver set. The leading
-// 0xFF tag byte keeps the stream seeds disjoint from permSeed's domain
-// (which starts with the raw little-endian seed).
+// streamSeed derives stream j's generator seed: FNV-1a over a 0xFF tag
+// byte, the instance seed, the stream index, and the canonical receiver
+// set.
 func (s *SampledShapley) streamSeed(j int, sorted []int) int64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -199,10 +194,13 @@ func streamSamples(m, j int) int {
 	return n
 }
 
-// sampledStream is one stream's contribution to the parallel estimate.
+// sampledStream is one stream's contribution to the estimate.
 type sampledStream struct {
-	sums    []float64
-	fresh   map[string]float64 // subset costs not in the shared memo
+	sums []float64
+	// fresh holds subset costs not in the shared memo when streams run
+	// concurrently; nil on a serial pool, where streams use the memo
+	// directly.
+	fresh   map[string]float64
 	queries int
 	hits    int
 }
@@ -210,44 +208,36 @@ type sampledStream struct {
 // SharesCertParallel estimates the Shapley shares of R with the sample
 // budget sharded across sampledStreams fixed permutation streams, each
 // seeded by streamSeed(j, R), evaluated by the pool's workers and folded
-// in stream order. The certificate is computed from (samples, delta,
-// Δmax) exactly as SharesCert computes it, so it is identical at every
-// width — and identical to the serial tier's certificate for the same
-// inputs. The shares themselves come from a different (equally valid,
-// equally deterministic) sample of permutations than SharesCert's single
-// stream, so the two tiers' low bits differ; within the parallel tier,
-// width never changes a byte.
+// in stream order, and returns the Hoeffding certificate (see cert).
+// Width never changes a byte of either.
 //
 // The cost oracle must be safe for concurrent calls when the pool is
-// wider than 1. During the parallel section the shared memo is frozen
-// (streams read it and record fresh costs privately); the fresh costs
-// are folded back afterwards in stream order.
+// wider than 1. Then the shared memo is frozen while the streams run
+// (they read it and record fresh costs privately) and the fresh costs
+// are folded back afterwards in stream order. On a serial pool the
+// streams read and write the memo directly; since the oracle is a
+// function, that changes oracle-call counts (Queries, Hits), not bytes.
 func (s *SampledShapley) SharesCertParallel(R []int, pool *engine.Pool) (map[int]float64, ApproxCert) {
 	k := len(R)
-	if k == 0 {
-		return map[int]float64{}, ApproxCert{Samples: s.samples, Delta: s.delta}
-	}
 	members := append([]int(nil), R...)
 	sort.Ints(members)
-
-	// Δmax from the singleton costs, serially — same pass as SharesCert,
-	// so the certificate matches the serial tier bit for bit. This also
-	// warms the memo before it freezes for the streams.
-	var dmax float64
-	single := make([]int, 1)
-	for _, a := range members {
-		single[0] = a
-		if c := s.costOfSorted(single); c > dmax {
-			dmax = c
-		}
+	// The certificate's singleton costs also warm the memo before it
+	// freezes for the streams.
+	cert := s.cert(members)
+	if k == 0 {
+		return map[int]float64{}, cert
 	}
+	serial := pool.Workers() <= 1
 
 	idx := make(map[int]int, k)
 	for i, a := range members {
 		idx[a] = i
 	}
 	streams := engine.Map(pool, sampledStreams, func(j int) *sampledStream {
-		st := &sampledStream{sums: make([]float64, k), fresh: map[string]float64{}}
+		st := &sampledStream{sums: make([]float64, k)}
+		if !serial {
+			st.fresh = map[string]float64{}
+		}
 		n := streamSamples(s.samples, j)
 		if n == 0 {
 			return st
@@ -261,6 +251,7 @@ func (s *SampledShapley) SharesCertParallel(R []int, pool *engine.Pool) (map[int
 			prefix = prefix[:0]
 			prev := 0.0
 			for _, a := range perm {
+				// Insert a into the sorted prefix.
 				at := sort.SearchInts(prefix, a)
 				prefix = append(prefix, 0)
 				copy(prefix[at+1:], prefix[at:])
@@ -291,15 +282,15 @@ func (s *SampledShapley) SharesCertParallel(R []int, pool *engine.Pool) (map[int
 	for i, a := range members {
 		shares[a] = sums[i] / float64(s.samples)
 	}
-	eps := dmax * math.Sqrt(math.Log(2*float64(k)/s.delta)/(2*float64(s.samples)))
-	return shares, ApproxCert{Samples: s.samples, Epsilon: eps, Delta: s.delta, DeltaMax: dmax}
+	return shares, cert
 }
 
-// costOf is costOfSorted against the frozen shared memo with the
-// stream's private overlay for fresh subsets.
+// costOf is costOfSorted for one stream: straight through the shared
+// memo on a serial pool, else against the frozen memo with the stream's
+// private overlay for fresh subsets.
 func (st *sampledStream) costOf(s *SampledShapley, sorted []int) float64 {
-	if len(sorted) == 0 {
-		return 0
+	if st.fresh == nil {
+		return s.costOfSorted(sorted)
 	}
 	key := subsetKey(sorted)
 	if c, ok := s.cache[key]; ok {
@@ -314,22 +305,4 @@ func (st *sampledStream) costOf(s *SampledShapley, sorted []int) float64 {
 	c := s.cost(sorted)
 	st.fresh[key] = c
 	return c
-}
-
-// ParallelMethod adapts a *Shapley or *SampledShapley to the Method
-// interface through its parallel tier, so Moulin–Shenker rounds and the
-// mechanism wrappers evaluate every round at the pool's width.
-type ParallelMethod struct {
-	Exact   *Shapley        // exactly one of Exact/Sampled is set
-	Sampled *SampledShapley //
-	Pool    *engine.Pool
-}
-
-// Shares implements Method.
-func (p *ParallelMethod) Shares(R []int) map[int]float64 {
-	if p.Exact != nil {
-		return p.Exact.SharesParallel(R, p.Pool)
-	}
-	shares, _ := p.Sampled.SharesCertParallel(R, p.Pool)
-	return shares
 }

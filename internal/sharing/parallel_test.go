@@ -3,6 +3,7 @@ package sharing
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"wmcs/internal/engine"
@@ -69,9 +70,8 @@ func TestSharesParallelWidthInvariant(t *testing.T) {
 	}
 }
 
-// TestSharesParallelMatchesSerial pins the parallel tier to the
-// historical serial enumeration within float tolerance (the reduction
-// shapes differ, so low bits may too).
+// TestSharesParallelMatchesSerial pins Shares, the nil-pool call, to the
+// same blocked reduction on a wider pool, bit for bit.
 func TestSharesParallelMatchesSerial(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 6, 9, 12} {
 		agents := agentsUpto(k)
@@ -79,8 +79,8 @@ func TestSharesParallelMatchesSerial(t *testing.T) {
 		serial := NewShapley(agents, cost).Shares(agents)
 		par := NewShapley(agents, cost).SharesParallel(agents, engine.New(4))
 		for a, v := range serial {
-			if d := math.Abs(par[a] - v); d > 1e-9 {
-				t.Fatalf("k=%d agent %d: parallel %v vs serial %v (diff %g)", k, a, par[a], v, d)
+			if math.Float64bits(par[a]) != math.Float64bits(v) {
+				t.Fatalf("k=%d agent %d: parallel %v vs serial %v", k, a, par[a], v)
 			}
 		}
 	}
@@ -91,29 +91,29 @@ func TestSharesParallelMatchesSerial(t *testing.T) {
 // on a shrunken set must issue no fresh oracle calls.
 func TestSharesParallelSubsetAndMemo(t *testing.T) {
 	agents := agentsUpto(8)
-	calls := 0
+	var calls atomic.Int64 // the oracle runs on the pool's workers
 	base := randSubmodularCost(8, 12, 5)
-	counting := func(R []int) float64 { calls++; return base(R) }
+	counting := func(R []int) float64 { calls.Add(1); return base(R) }
 	s := NewShapley(agents, counting)
 	pool := engine.New(4)
 	R := []int{1, 2, 4, 5, 7}
 	first := s.SharesParallel(R, pool)
-	callsAfterFirst := calls
+	callsAfterFirst := calls.Load()
 	if callsAfterFirst == 0 {
 		t.Fatal("no oracle calls on a cold memo")
 	}
 	second := s.SharesParallel(R[:4], pool)
-	if calls != callsAfterFirst {
-		t.Fatalf("shrunken re-query issued %d fresh oracle calls, want 0", calls-callsAfterFirst)
+	if n := calls.Load(); n != callsAfterFirst {
+		t.Fatalf("shrunken re-query issued %d fresh oracle calls, want 0", n-callsAfterFirst)
 	}
 	if len(first) != 5 || len(second) != 4 {
 		t.Fatalf("share counts %d/%d, want 5/4", len(first), len(second))
 	}
-	// And the blocked subset result matches the serial method bitwise-
-	// tolerantly on the same instance.
+	// And the warm-memo subset result matches a cold serial evaluation
+	// bit for bit.
 	want := NewShapley(agents, base).Shares(R[:4])
 	for a, v := range want {
-		if d := math.Abs(second[a] - v); d > 1e-9 {
+		if math.Float64bits(second[a]) != math.Float64bits(v) {
 			t.Fatalf("agent %d: %v vs serial %v", a, second[a], v)
 		}
 	}
@@ -145,18 +145,23 @@ func TestSampledParallelWidthInvariant(t *testing.T) {
 	}
 }
 
-// TestSampledParallelCertMatchesSerialTier: the certificate depends only
-// on (samples, delta, Δmax), so the parallel tier's cert equals the
-// serial tier's exactly even though the share estimates differ.
+// TestSampledParallelCertMatchesSerialTier: SharesCert, the nil-pool
+// call, equals the stream fold on a wider pool, shares and certificate
+// alike.
 func TestSampledParallelCertMatchesSerialTier(t *testing.T) {
 	agents := agentsUpto(7)
 	cost := randSubmodularCost(7, 15, 3)
 	s1, _ := NewSampledShapley(agents, cost, 25, 0.1, 9)
 	s2, _ := NewSampledShapley(agents, cost, 25, 0.1, 9)
-	_, serialCert := s1.SharesCert(agents)
-	_, parCert := s2.SharesCertParallel(agents, engine.New(4))
+	serialShares, serialCert := s1.SharesCert(agents)
+	parShares, parCert := s2.SharesCertParallel(agents, engine.New(4))
 	if serialCert != parCert {
 		t.Fatalf("parallel cert %+v != serial cert %+v", parCert, serialCert)
+	}
+	for a, v := range serialShares {
+		if math.Float64bits(parShares[a]) != math.Float64bits(v) {
+			t.Fatalf("agent %d: parallel %v vs serial %v", a, parShares[a], v)
+		}
 	}
 }
 
@@ -176,8 +181,9 @@ func TestSampledParallelEstimateQuality(t *testing.T) {
 	}
 }
 
-// TestSampledParallelCounters: Queries/Hits fold deterministically and
-// the fresh costs land in the shared memo (a replay is all hits).
+// TestSampledParallelCounters: on a wide pool Queries/Hits fold
+// deterministically and the fresh costs land in the shared memo (a
+// replay is all hits).
 func TestSampledParallelCounters(t *testing.T) {
 	agents := agentsUpto(6)
 	cost := randSubmodularCost(6, 10, 21)
@@ -200,8 +206,8 @@ func TestSampledParallelCounters(t *testing.T) {
 	}
 }
 
-// TestMechanismFromMethodParallelTier: with a Pool the mechanism runs
-// the parallel tiers end to end, and its exact outcome is width-stable.
+// TestMechanismFromMethodParallelTier: with a Pool the mechanism's exact
+// and sampled outcomes are width-stable.
 func TestMechanismFromMethodParallelTier(t *testing.T) {
 	agents := agentsUpto(8)
 	cost := randSubmodularCost(8, 14, 31)

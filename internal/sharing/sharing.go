@@ -35,7 +35,8 @@ type MethodFunc func(R []int) map[int]float64
 func (f MethodFunc) Shares(R []int) map[int]float64 { return f(R) }
 
 // Shapley is the exact Shapley-value cost-sharing method for an arbitrary
-// cost oracle, computed by subset enumeration with memoized cost queries:
+// cost oracle, computed by subset enumeration over a flat table of subset
+// costs (SharesParallel), memoized across calls:
 //
 //	φ(R, i) = Σ_{Q ⊆ R\{i}} |Q|!(|R|−|Q|−1)!/|R|! · (C(Q∪{i}) − C(Q)).
 //
@@ -104,71 +105,10 @@ func NewShapley(agents []int, cost CostFunc) *Shapley {
 	return s
 }
 
-// costOf returns C of the subset encoded by mask, memoized.
-func (s *Shapley) costOf(mask uint64) float64 {
-	if mask == 0 {
-		return 0
-	}
-	if c, ok := s.cache[mask]; ok {
-		return c
-	}
-	var R []int
-	for idx, a := range s.agents {
-		if mask&(1<<uint(idx)) != 0 {
-			R = append(R, a)
-		}
-	}
-	c := s.cost(R)
-	s.cache[mask] = c
-	return c
-}
-
-// Shares implements Method. It panics if |R| > 20 (2^|R| enumeration).
+// Shares implements Method: the blocked flat-table enumeration of
+// SharesParallel run serially. It panics if |R| > 20 (2^|R| enumeration).
 func (s *Shapley) Shares(R []int) map[int]float64 {
-	k := len(R)
-	if k == 0 {
-		return map[int]float64{}
-	}
-	if k > 20 {
-		panic(fmt.Sprintf("sharing: Shapley.Shares limited to 20 agents, got %d", k))
-	}
-	// Local bit positions within R for subset enumeration.
-	full := uint64(0)
-	local := make([]uint64, k) // local[i] = universe mask bit of R[i]
-	for i, a := range R {
-		b, ok := s.bit[a]
-		if !ok {
-			panic(fmt.Sprintf("sharing: agent %d not in universe", a))
-		}
-		local[i] = 1 << b
-		full |= local[i]
-	}
-	shares := make(map[int]float64, k)
-	// Enumerate subsets Q of R by local mask; weight depends on |Q|.
-	kf := s.fact[k]
-	for lm := uint64(0); lm < 1<<uint(k); lm++ {
-		var qMask uint64
-		qSize := 0
-		for i := 0; i < k; i++ {
-			if lm&(1<<uint(i)) != 0 {
-				qMask |= local[i]
-				qSize++
-			}
-		}
-		if qSize == k {
-			continue
-		}
-		w := s.fact[qSize] * s.fact[k-qSize-1] / kf
-		cq := s.costOf(qMask)
-		for i := 0; i < k; i++ {
-			if lm&(1<<uint(i)) != 0 {
-				continue // i ∈ Q
-			}
-			marginal := s.costOf(qMask|local[i]) - cq
-			shares[R[i]] += w * marginal
-		}
-	}
-	return shares
+	return s.SharesParallel(R, nil)
 }
 
 // MoulinShenkerResult is the outcome of the M(ξ) iteration.
@@ -312,24 +252,11 @@ type MechanismFromMethod struct {
 	AgentSet []int
 	Xi       Method
 	Cost     CostFunc
-	// Pool, when non-nil, routes every evaluation through the parallel
-	// tier (DESIGN.md §14): exact Shapley methods run the blocked
-	// SharesParallel reduction and the approximate tier runs the
-	// stream-sharded SharesCertParallel. nil keeps the historical serial
-	// paths byte-for-byte.
+	// Pool, when non-nil, runs the sampled tier's permutation streams on
+	// its workers (DESIGN.md §14). It changes scheduling only: the
+	// streams and their fold order are fixed, so every width — nil
+	// included — produces the same bytes.
 	Pool *engine.Pool
-}
-
-// xi returns the method the Moulin–Shenker rounds evaluate: Xi itself,
-// or its parallel adapter when a pool is configured and Xi is the exact
-// Shapley method (closed-form methods have nothing to parallelize).
-func (m *MechanismFromMethod) xi() Method {
-	if m.Pool != nil {
-		if sh, ok := m.Xi.(*Shapley); ok {
-			return &ParallelMethod{Exact: sh, Pool: m.Pool}
-		}
-	}
-	return m.Xi
 }
 
 // Name implements mech.Mechanism.
@@ -340,7 +267,7 @@ func (m *MechanismFromMethod) Agents() []int { return m.AgentSet }
 
 // Run implements mech.Mechanism.
 func (m *MechanismFromMethod) Run(u mech.Profile) mech.Outcome {
-	res := MoulinShenker(m.AgentSet, m.xi(), u)
+	res := MoulinShenker(m.AgentSet, m.Xi, u)
 	return mech.Outcome{
 		Receivers: res.Receivers,
 		Shares:    res.Shares,
@@ -363,21 +290,13 @@ func (m *MechanismFromMethod) RunApprox(u mech.Profile, spec mech.ApproxSpec) (m
 	if err != nil {
 		return mech.Outcome{}, mech.ApproxCert{}, err
 	}
-	var res MoulinShenkerResult
-	var cert ApproxCert
-	if m.Pool != nil {
-		// Parallel tier: every round — and the final certificate — runs
-		// the stream-sharded estimator, which is deterministic at any
-		// pool width (DESIGN.md §14).
-		res = MoulinShenker(m.AgentSet, &ParallelMethod{Sampled: s, Pool: m.Pool}, u)
-		_, cert = s.SharesCertParallel(res.Receivers, m.Pool)
-	} else {
-		res = MoulinShenker(m.AgentSet, s, u)
-		// The final round's certificate: SharesCert on the surviving set
-		// replays the identical permutation stream against a warm memo, so
-		// this costs no fresh oracle calls.
-		_, cert = s.SharesCert(res.Receivers)
-	}
+	res := MoulinShenker(m.AgentSet, MethodFunc(func(R []int) map[int]float64 {
+		shares, _ := s.SharesCertParallel(R, m.Pool)
+		return shares
+	}), u)
+	// The final round ran on the surviving set, so only its certificate
+	// is missing — and that depends on the singleton costs alone.
+	cert := s.cert(res.Receivers)
 	return mech.Outcome{
 		Receivers: res.Receivers,
 		Shares:    res.Shares,
